@@ -92,77 +92,94 @@ class AvlTree(Generic[K, V]):
 
     def insert(self, key: K, value: V) -> None:
         """Add *value* under *key* (duplicate keys accumulate values)."""
-        self._root = self._insert(self._root, key, value)
         self._value_count += 1
-
-    def _insert(self, node: Optional[_Node[K, V]], key: K, value: V) -> _Node[K, V]:
+        node = self._root
         if node is None:
+            self._root = _Node(key, value)
             self._key_count += 1
-            return _Node(key, value)
-        if key == node.key:
-            node.values.append(value)
-            return node
+            return
+        path: List[_Node[K, V]] = []
+        while True:
+            if key == node.key:
+                node.values.append(value)
+                return
+            path.append(node)
+            child = node.left if key < node.key else node.right
+            if child is None:
+                break
+            node = child
+        self._key_count += 1
         if key < node.key:
-            node.left = self._insert(node.left, key, value)
+            node.left = _Node(key, value)
         else:
-            node.right = self._insert(node.right, key, value)
-        return _rebalance(node)
+            node.right = _Node(key, value)
+        self._retrace(path)
 
     def remove(self, key: K, value: V) -> bool:
         """Remove one (key, value) pair.  Returns True if it was present."""
-        found = [False]
-        self._root = self._remove(self._root, key, value, found)
-        if found[0]:
-            self._value_count -= 1
-        return found[0]
-
-    def _remove(
-        self,
-        node: Optional[_Node[K, V]],
-        key: K,
-        value: V,
-        found: List[bool],
-    ) -> Optional[_Node[K, V]]:
-        if node is None:
-            return None
-        if key < node.key:
-            node.left = self._remove(node.left, key, value, found)
-        elif key > node.key:
-            node.right = self._remove(node.right, key, value, found)
-        else:
-            if value in node.values:
-                node.values.remove(value)
-                found[0] = True
-            if node.values:
-                return _rebalance(node)
-            # Key is now empty: unlink this node.
-            self._key_count -= 1
-            if node.left is None:
-                return node.right
-            if node.right is None:
-                return node.left
+        path: List[_Node[K, V]] = []
+        node = self._root
+        while node is not None and key != node.key:
+            path.append(node)
+            node = node.left if key < node.key else node.right
+        if node is None or value not in node.values:
+            return False
+        node.values.remove(value)
+        self._value_count -= 1
+        if node.values:
+            return True
+        # Key is now empty: unlink its node.  A node with two children
+        # takes over its in-order successor's entry, and the successor
+        # (which has no left child) is unlinked instead.
+        self._key_count -= 1
+        if node.left is not None and node.right is not None:
+            path.append(node)
             successor = node.right
             while successor.left is not None:
+                path.append(successor)
                 successor = successor.left
             node.key = successor.key
             node.values = successor.values
-            successor.values = []
-            # Delete the successor shell (its values were moved).
-            node.right = self._remove_emptied(node.right)
-            self._key_count += 1  # compensate: shell removal decrements
-            return _rebalance(node)
-        return _rebalance(node)
+            node = successor
+        child = node.left if node.left is not None else node.right
+        self._relink(path[-1] if path else None, node, child)
+        self._retrace(path)
+        return True
 
-    def _remove_emptied(self, node: Optional[_Node[K, V]]) -> Optional[_Node[K, V]]:
-        """Remove the leftmost node that holds no values."""
-        assert node is not None
-        if node.left is None:
-            if not node.values:
-                self._key_count -= 1
-                return node.right
-            return node
-        node.left = self._remove_emptied(node.left)
-        return _rebalance(node)
+    def _relink(
+        self,
+        parent: Optional[_Node[K, V]],
+        old: _Node[K, V],
+        new: Optional[_Node[K, V]],
+    ) -> None:
+        """Point the link that held *old* (the root link when *parent*
+        is None) at *new*."""
+        if parent is None:
+            self._root = new
+        elif parent.left is old:
+            parent.left = new
+        else:
+            parent.right = new
+
+    def _retrace(self, path: List[_Node[K, V]]) -> None:
+        """Fix heights bottom-up along *path* (root first) after a node
+        was added or unlinked below its last entry, rotating where a
+        node falls out of balance.  Stops at the first subtree whose
+        height did not change: nothing above it can have moved."""
+        for index in range(len(path) - 1, -1, -1):
+            node = path[index]
+            old_height = node.height
+            left_height = _height(node.left)
+            right_height = _height(node.right)
+            if -1 <= left_height - right_height <= 1:
+                node.height = 1 + max(left_height, right_height)
+                if node.height == old_height:
+                    return
+                continue
+            subtree = _rebalance(node)
+            self._relink(path[index - 1] if index else None, node, subtree)
+            if subtree.height == old_height:
+                return
 
     # ------------------------------------------------------------------
     # Lookup

@@ -121,7 +121,7 @@ class LocalClient(DirectSinkMixin):
         self, observations: Sequence[Observation], *, coalesced: int = 0
     ) -> List[bool]:
         """Apply a pre-coalesced batch — the local mirror of the server's
-        ``batch`` op, so batched-local and batched-remote ingest keep
+        ``observe_batch`` op, so batched-local and batched-remote ingest keep
         identical pipeline accounting."""
         flags = [self.journal.submit(observation)[1] for observation in observations]
         self.journal.note_ingest(

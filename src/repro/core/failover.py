@@ -797,6 +797,8 @@ _READ_METHODS = (
     "gateways_modified_since",
     "subnets_modified_since",
     "query",
+    "path",
+    "impact",
     "counts",
     "metrics",
     "revision",

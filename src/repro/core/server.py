@@ -426,7 +426,12 @@ class JournalDispatcher:
         flush path, and the replay path a reconnecting client uses to
         drain observations buffered during an outage.  Per-item failures
         are reported in place; the batch itself still succeeds, so one
-        malformed entry cannot wedge the client's buffer forever."""
+        malformed entry cannot wedge the client's buffer forever.
+
+        ``observe`` items answer ``{"ok": True, "changed": bool}`` only:
+        batch callers keep the flag, never the record, so the record is
+        neither encoded nor sent.  Other items answer as they would
+        alone."""
         responses: List[Dict[str, Any]] = []
         requests = request.get("requests", [])
         self._h_batch_size.observe(len(requests))
@@ -439,7 +444,11 @@ class JournalDispatcher:
                 responses.append({"ok": False, "error": f"unknown op: {op!r}"})
                 continue
             try:
-                responses.append(handler(sub_request))
+                if op == "observe":
+                    _record, changed = self._apply_observation(sub_request)
+                    responses.append({"ok": True, "changed": changed})
+                else:
+                    responses.append(handler(sub_request))
             except wire.WireError as error:
                 responses.append({"ok": False, "error": str(error)})
             except Exception as error:  # defensive: isolate the item
@@ -463,9 +472,13 @@ class JournalDispatcher:
             "revision": self.journal.revision,
         }
 
-    def _op_observe(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _apply_observation(self, request: Dict[str, Any]):
+        """Decode an ``observe`` request and apply it: ``(record, changed)``."""
         observation = wire.observation_from_dict(request.get("observation", {}))
-        record, changed = self.journal.submit(observation)
+        return self.journal.submit(observation)
+
+    def _op_observe(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        record, changed = self._apply_observation(request)
         return {
             "ok": True,
             "changed": changed,

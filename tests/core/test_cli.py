@@ -334,6 +334,21 @@ class TestPathAndImpact:
         finally:
             server.stop()
 
+    def test_path_and_impact_against_replica_group(self, tmp_path, capsys):
+        from repro.core import JournalServer, StandbyReplica
+
+        journal = Journal.load(_topology_journal(tmp_path))
+        server = JournalServer(journal).start()
+        try:
+            with StandbyReplica(server.address, poll_interval=0.05) as standby:
+                spec = "%s:%d|%s:%d" % (*server.address, *standby.address)
+                assert main(["path", spec, "10.0.1.0/24", "10.0.3.0/24"]) == 0
+                assert "gw-b" in capsys.readouterr().out
+                assert main(["impact", spec, "gw-b"]) == 0
+                assert "single point of failure" in capsys.readouterr().out
+        finally:
+            server.stop()
+
     def test_path_and_impact_across_live_sharded_fleet(self, capsys):
         """The acceptance walk: each shard holds half the topology; the
         router merges per-shard subgraphs and answers from the whole."""

@@ -357,6 +357,25 @@ class TestFailoverClient:
             finally:
                 client.close()
 
+    def test_path_and_impact_through_replica_group(self, server):
+        journal = server.journal
+        a, _ = journal.ensure_gateway(source="RIPwatch", name="gw-a")
+        for key in ("10.0.1.0/24", "10.0.2.0/24"):
+            journal.link_gateway_subnet(a.record_id, key, source="RIPwatch")
+        b, _ = journal.ensure_gateway(source="Traceroute", name="gw-b")
+        for key in ("10.0.2.0/24", "10.0.3.0/24"):
+            journal.link_gateway_subnet(b.record_id, key, source="Traceroute")
+        with StandbyReplica(server.address, poll_interval=0.05) as standby:
+            spec = "%s:%d|%s:%d" % (*server.address, *standby.address)
+            with connect(spec) as client:
+                assert isinstance(client, FailoverClient)
+                path = client.path("10.0.1.0/24", "10.0.3.0/24")
+                assert path.found
+                assert "gw-a" in path.nodes and "gw-b" in path.nodes
+                impact = client.impact("gw-b")
+                assert impact.found
+                assert "10.0.3.0/24" in impact.cut_subnets
+
     def test_no_reachable_replica_raises_connection_error(self):
         with pytest.raises(ConnectionError):
             FailoverClient([("127.0.0.1", 1)], probe_timeout=0.2)

@@ -8,11 +8,15 @@ import pytest
 
 from repro.core import (
     BatchingSink,
+    FailoverClient,
     Journal,
     JournalServer,
+    LocalClient,
     ReadWriteLock,
     RemoteClient,
+    StandbyReplica,
 )
+from repro.core import wire
 from repro.core.records import Observation
 
 
@@ -172,6 +176,125 @@ class TestBatchIngest:
         assert changed is True
         assert record.record_id in journal.interfaces
         assert journal.counts()["interfaces"] == 1
+
+
+def _flag_stream():
+    """Sightings whose changed flags mix True and False: first sightings,
+    exact repeats, and repeats that add a DNS name."""
+    stream = []
+    for index in range(12):
+        ip = f"10.0.{index % 3}.{index + 1}"
+        mac = f"08:00:20:00:00:{index:02x}"
+        stream.append(_obs(ip=ip, mac=mac))
+        stream.append(_obs(ip=ip, mac=mac))
+        if index % 4 == 0:
+            stream.append(_obs(ip=ip, dns_name=f"h{index}.test"))
+    return stream
+
+
+def _local_flags(observations):
+    """Changed flags from an in-process journal: the reference every
+    remote batch path must reproduce."""
+    return LocalClient(Journal()).observe_batch(observations)
+
+
+class TestBatchReplyContract:
+    """``observe`` items in an ``observe_batch`` reply carry the changed
+    flag only; every other item answers exactly as it would alone."""
+
+    def _observe_request(self, ip):
+        return {"op": "observe", "observation": wire.observation_to_dict(_obs(ip=ip))}
+
+    def test_observe_items_carry_only_the_flag(self, served):
+        journal, server, client = served
+        response = client._call(
+            wire.batch_request(
+                [self._observe_request("10.0.0.1"), self._observe_request("10.0.0.1")]
+            )
+        )
+        assert response["responses"] == [
+            {"ok": True, "changed": True},
+            {"ok": True, "changed": False},
+        ]
+
+    def test_single_observe_still_returns_the_record(self, served):
+        journal, server, client = served
+        response = client._call(self._observe_request("10.0.0.1"))
+        assert set(response) - {"id"} == {"ok", "changed", "record"}
+        record = wire.interface_from_dict(response["record"])
+        assert record.record_id in journal.interfaces
+
+    def test_other_items_and_errors_reply_as_before(self, served):
+        journal, server, client = served
+        negative = {"op": "negative_put", "kind": "dns", "key": "x.test", "ttl": 60.0}
+        response = client._call(
+            wire.batch_request(
+                [
+                    self._observe_request("10.0.0.1"),
+                    {"op": "counts"},
+                    negative,
+                    {"op": "observe", "observation": {"source": "t", "ip": 7}},
+                    {"op": "no-such-op"},
+                    "not-a-request",
+                    {"op": "observe_batch", "requests": []},
+                ]
+            )
+        )
+        items = response["responses"]
+        assert items[0] == {"ok": True, "changed": True}
+        alone = client._call({"op": "counts"})
+        assert set(items[1]) == {"ok", "counts"}
+        assert set(items[1]["counts"]) == set(alone["counts"])
+        assert items[1]["counts"]["interfaces"] == 1
+        assert items[2] == {"ok": True}
+        assert set(client._call(negative)) - {"id"} == {"ok"}
+        assert items[3]["ok"] is False and items[3]["error"]
+        assert items[4] == {"ok": False, "error": "unknown op: 'no-such-op'"}
+        assert items[5] == {"ok": False, "error": "unknown op: None"}
+        assert items[6] == {"ok": False, "error": "unknown op: 'observe_batch'"}
+        assert journal.negative_check("dns", "x.test")
+
+    def test_remote_batch_flags_match_local(self, served):
+        journal, server, client = served
+        stream = _flag_stream()
+        assert client.observe_batch(stream) == _local_flags(stream)
+
+    def test_pipelined_batch_flags_match_local(self, served):
+        journal, server, client = served
+        stream = _flag_stream()
+        reply = client.observe_batch_nowait(stream).wait()
+        assert [item["changed"] for item in reply["responses"]] == _local_flags(stream)
+
+    def test_batching_sink_counts_the_same_changes(self, served):
+        journal, server, client = served
+        stream = _flag_stream()
+
+        def changes(target, pipeline_depth):
+            sink = BatchingSink(target, max_batch=5, pipeline_depth=pipeline_depth)
+            for observation in stream:
+                sink.submit(observation)
+            sink.flush()
+            sink.settle()
+            return sink.take_changes()
+
+        expected = changes(LocalClient(Journal()), 1)
+        assert changes(client, 1) == expected
+        other_server = JournalServer(Journal()).start()
+        try:
+            with RemoteClient(*other_server.address) as pipelined:
+                assert changes(pipelined, 4) == expected
+        finally:
+            other_server.stop()
+
+    def test_failover_client_batch_flags_match_local(self, served):
+        journal, server, client = served
+        stream = _flag_stream()
+        with StandbyReplica(server.address, poll_interval=0.05) as standby:
+            failover = FailoverClient([server.address, standby.address])
+            try:
+                assert failover.observe_batch(stream) == _local_flags(stream)
+            finally:
+                failover.close()
 
 
 class TestChangesSinceOp:

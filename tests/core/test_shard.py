@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     Journal,
+    JournalServer,
     LocalClient,
     QueryCache,
     ShardMap,
@@ -403,3 +404,43 @@ class TestHandshakeVerification:
         ]
         with pytest.raises(ValueError, match="shard"):
             ShardedClient(fleet)
+
+
+class TestRemoteBatchReplies:
+    """Routed batches over real servers: each shard answers ``observe``
+    items with the changed flag only, and the router reassembles the
+    flags in submission order, matching a single journal."""
+
+    def _stream(self):
+        stream = []
+        for index in range(16):
+            ip = f"10.{index % 4}.0.{index + 1}"
+            mac = f"08:00:20:00:01:{index:02x}"
+            stream.append(Observation(source="t", ip=ip, mac=mac))
+            stream.append(Observation(source="t", ip=ip, mac=mac))
+            if index % 3 == 0:
+                stream.append(Observation(source="t", ip=ip, dns_name=f"h{index}.test"))
+        return stream
+
+    @pytest.fixture
+    def fleet(self):
+        servers = [JournalServer(Journal()).start() for _ in range(2)]
+        router = connect("shard://" + ",".join("%s:%d" % s.address for s in servers))
+        try:
+            yield router
+        finally:
+            router.close()
+            for server in servers:
+                server.stop()
+
+    def test_observe_batch_flags_match_single_journal(self, fleet):
+        stream = self._stream()
+        expected = LocalClient(Journal()).observe_batch(stream)
+        assert True in expected and False in expected
+        assert fleet.observe_batch(stream) == expected
+
+    def test_observe_batch_nowait_reassembles_flag_only_items(self, fleet):
+        stream = self._stream()
+        expected = LocalClient(Journal()).observe_batch(stream)
+        responses = fleet.observe_batch_nowait(stream).wait()["responses"]
+        assert responses == [{"ok": True, "changed": flag} for flag in expected]
