@@ -34,11 +34,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import shutil
+import socket
 import statistics
 import sys
-import tempfile
 import threading
 import time
 from typing import Dict, List, Optional
@@ -49,6 +47,7 @@ from repro.core import (
     JournalServer,
     LocalClient,
     RemoteClient,
+    wire,
 )
 from repro.core.records import Observation
 
@@ -175,9 +174,10 @@ def bench_read_latency(
 ) -> Dict[str, object]:
     """Fast-read (counts) latency while heavy reads and writes are in
     flight, exclusive mutex vs read/write lock.  The heavy read is the
-    ``save`` op: it serialises the whole journal while holding the lock
-    but sends back a one-line response, so the measuring thread is not
-    polluted by decoding megabytes of dump in the same process."""
+    ``dump`` op: it serialises the whole journal while holding the lock.
+    The readers skip the reply without decoding it, so the measuring
+    thread is not polluted by parsing megabytes of JSON in the same
+    process."""
     print(f"read latency under load ({records} records, {samples} samples):")
     out: Dict[str, object] = {}
     for lock_mode in ("exclusive", "rw"):
@@ -191,14 +191,14 @@ def bench_read_latency(
         threads: List[threading.Thread] = []
         host, port = server.address
 
-        def dump_loop(dump_path: str):
-            # Each reader saves to its own file: the save op's atomic
-            # temp-file + rename must never race another reader (and
-            # must never target a device node like /dev/null, which the
-            # rename would replace with a regular file).
-            with RemoteClient(host, port) as client:
+        def dump_loop():
+            # A raw socket: one dump request, one reply line read and
+            # dropped undecoded, repeat.
+            with socket.create_connection((host, port)) as sock:
+                replies = sock.makefile("rb")
                 while not stop.is_set():
-                    client._call({"op": "save", "path": dump_path})
+                    sock.sendall(wire.encode_message({"op": "dump"}))
+                    replies.readline()
                     dumps_done[0] += 1
 
         def write_loop():
@@ -216,16 +216,9 @@ def bench_read_latency(
                     # at a far gentler cadence.
                     time.sleep(0.01)
 
-        dump_dir = tempfile.mkdtemp(prefix="fremont-bench-dump-")
         try:
-            for index in range(dump_readers):
-                threads.append(
-                    threading.Thread(
-                        target=dump_loop,
-                        args=(os.path.join(dump_dir, f"dump-{index}.json"),),
-                        daemon=True,
-                    )
-                )
+            for _ in range(dump_readers):
+                threads.append(threading.Thread(target=dump_loop, daemon=True))
             for _ in range(writers):
                 threads.append(threading.Thread(target=write_loop, daemon=True))
             for thread in threads:
@@ -243,7 +236,6 @@ def bench_read_latency(
             for thread in threads:
                 thread.join(timeout=5.0)
             server.stop()
-            shutil.rmtree(dump_dir, ignore_errors=True)
         median_ms = statistics.median(latencies) * 1e3
         p95_ms = sorted(latencies)[int(len(latencies) * 0.95)] * 1e3
         out[lock_mode] = {

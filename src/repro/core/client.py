@@ -210,6 +210,14 @@ class LocalClient(DirectSinkMixin):
         """The journal's current change-tracking revision."""
         return self.journal.revision
 
+    def shard_info(self) -> None:
+        """An in-process journal is no member of a sharded fleet."""
+        return None
+
+    def replica_info(self) -> None:
+        """An in-process journal has no failover coordinates."""
+        return None
+
     # -- topology ---------------------------------------------------------
 
     def _topology(self):
@@ -550,8 +558,7 @@ class RemoteClient:
             if (
                 stamp is not None
                 and "epoch" not in tagged
-                and tagged.get("op") not in wire.READ_OPS
-                and tagged.get("op") not in ("promote", "fence")
+                and tagged.get("op") in wire.WRITE_OPS
             ):
                 tagged["epoch"] = int(stamp)
             rids.append(rid)
@@ -742,8 +749,7 @@ class RemoteClient:
         will not stall trying to reach the dead server."""
         requests: List[Dict[str, Any]] = []
         for tagged in self._inflight.values():
-            op = tagged.get("op")
-            if op in wire.READ_OPS or op in ("promote", "fence"):
+            if tagged.get("op") not in wire.WRITE_OPS:
                 continue
             requests.append(
                 {k: v for k, v in tagged.items() if k not in ("id", "epoch")}

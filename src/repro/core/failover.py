@@ -783,54 +783,11 @@ class FailoverClient:
         self.close()
 
 
-#: RemoteClient methods that never mutate — failures hedge to followers
-_READ_METHODS = (
-    "interfaces_by_ip",
-    "interfaces_by_mac",
-    "interfaces_by_name",
-    "interfaces_in_ip_range",
-    "all_interfaces",
-    "stale_interfaces",
-    "all_gateways",
-    "all_subnets",
-    "interfaces_modified_since",
-    "gateways_modified_since",
-    "subnets_modified_since",
-    "query",
-    "path",
-    "impact",
-    "counts",
-    "metrics",
-    "revision",
-    "negative_check",
-    "changes_since",
-    "snapshot",
-    "shard_info",
-    "replica_info",
-)
-
-#: RemoteClient methods that mutate — failures promote, then retry once
-_WRITE_METHODS = (
-    "observe_interface",
-    "submit",
-    "resolve",
-    "observe_batch",
-    "ensure_gateway",
-    "ensure_subnet",
-    "link_gateway_subnet",
-    "rename_gateway",
-    "delete_interface",
-    "absorb_interface",
-    "absorb_gateway",
-    "absorb_subnet",
-    "negative_put",
-    "flush",
-    "promote",
-    "fence",
-)
-
-
 def _install_proxies() -> None:
+    """One proxy per method row of the op table: read ops hedge to a
+    follower, write ops fail over and retry.  ``subscribe`` (a stream)
+    is written out above."""
+
     def make(name: str, runner_name: str):
         def method(self, *args, **kwargs):
             runner = getattr(self, runner_name)
@@ -846,10 +803,11 @@ def _install_proxies() -> None:
         )
         return method
 
-    for name in _READ_METHODS:
-        setattr(FailoverClient, name, make(name, "_run_read"))
-    for name in _WRITE_METHODS:
-        setattr(FailoverClient, name, make(name, "_run_write"))
+    for name, op in wire.METHODS.items():
+        kind = wire.OPS[op].kind
+        if kind != "stream":
+            runner = "_run_read" if kind == "read" else "_run_write"
+            setattr(FailoverClient, name, make(name, runner))
 
 
 _install_proxies()

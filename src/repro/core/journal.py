@@ -182,8 +182,10 @@ class FeedSubscription:
         """Has the Journal moved past this subscription's cursor?"""
         return self.journal.revision > self.last_revision
 
-    def poll(self) -> JournalChanges:
-        """The delta since the cursor; advances the cursor."""
+    def poll(self, timeout: Optional[float] = None) -> JournalChanges:
+        """The delta since the cursor; advances the cursor.  *timeout*
+        matches the remote feeds' signature: an in-process delta is
+        ready at once, so it is never waited on."""
         changes = self.journal.changes_since(self.last_revision)
         self.last_revision = changes.revision
         if not changes.empty():
@@ -206,6 +208,9 @@ class FeedSubscription:
         self.closed = True
         self.journal._subscriptions.discard(self)
 
+
+#: keyword stats ensure_subnet accepts (every subnet field but the key)
+_SUBNET_STATS = frozenset(SubnetRecord.FIELDS) - {"subnet"}
 
 #: identity fields: conflicting values here split records instead of
 #: overwriting (the conflict itself is a finding)
@@ -1048,7 +1053,11 @@ class Journal(DirectSinkMixin):
         **stats: object,
     ) -> Tuple[SubnetRecord, bool]:
         """Find or create a subnet record; *stats* may carry mask,
-        host_count, lowest_address, highest_address."""
+        host_count, lowest_address, highest_address — nothing else (a
+        stray ``subnet`` key would re-key the record behind its index)."""
+        unknown = sorted(set(stats) - _SUBNET_STATS)
+        if unknown:
+            raise ValueError(f"unknown subnet stat(s): {', '.join(unknown)}")
         now = self.now
         existing_ids = self.by_subnet.get(subnet_key)
         created = not existing_ids

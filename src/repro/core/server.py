@@ -50,40 +50,8 @@ from .telemetry import DEPTH_BUCKETS, SIZE_BUCKETS
 
 __all__ = ["JournalDispatcher", "JournalServer", "ThreadedJournalServer"]
 
-#: ops that never mutate the Journal and therefore share the read
-#: lock.  The set moved to wire.py (clients stamp fencing epochs onto
-#: exactly the complement); this alias keeps the dispatcher's call
-#: sites readable.
+#: ops that share the read lock (derived from the op table in wire.py)
 _READ_OPS = wire.READ_OPS
-
-#: ops cheap enough to run on the event loop thread when the lock is
-#: free: O(1)-ish handlers that never serialise the whole journal and
-#: never touch the durability layer's fsync path.  Everything else —
-#: dumps, saves, whole-table queries, batches — goes to the worker
-#: pool, as do all writes when a WAL is attached.
-_INLINE_OPS = frozenset(
-    {
-        "ping",
-        "counts",
-        "metrics",
-        "shard_info",
-        "negative_check",
-        "changes_since",
-        # Indexed predicate evaluation is O(result); a worst-case
-        # unindexable predicate still only reads — and the inline path
-        # only runs when the read lock is free anyway.
-        "query",
-        "observe",
-        "negative_put",
-        "ensure_gateway",
-        "ensure_subnet",
-        "link_gateway_subnet",
-        "delete_interface",
-        "absorb_interface",
-        "absorb_gateway",
-        "absorb_subnet",
-    }
-)
 
 #: close sentinel for per-connection outbound queues
 _CLOSE = object()
@@ -168,8 +136,13 @@ class JournalDispatcher:
         #: per-op latency samples resolved once (label lookup is ~10%
         #: of a cheap op's cost on the inline path)
         self._op_samples: Dict[str, Any] = {}
-        #: resolved op -> bound handler, filled on first use
-        self._handlers: Dict[str, Callable] = {}
+        #: op -> bound ``_op_*`` handler, one per op-table row
+        #: (``subscribe`` streams on the transport's own path instead)
+        self._handlers: Dict[str, Callable] = {
+            op: getattr(self, f"_op_{op}")
+            for op, row in wire.OPS.items()
+            if row.kind != "stream"
+        }
         #: lazily-built topology store serving the path/impact read ops
         #: (pull mode: refreshes via pure changes_since reads, so it is
         #: safe under the shared read lock; see topology module docs)
@@ -182,18 +155,15 @@ class JournalDispatcher:
 
     def handler_for(self, op: Any) -> Optional[Callable]:
         try:
-            return self._handlers[op]
-        except (KeyError, TypeError):
-            pass
-        if op in wire.WIRE_OPS:
-            handler = getattr(self, f"_op_{op}", None)
-            if handler is not None:
-                self._handlers[op] = handler
-            return handler
-        return None
+            return self._handlers.get(op)
+        except TypeError:  # unhashable junk op
+            return None
 
     def is_write(self, op: Any) -> bool:
-        return op not in _READ_OPS
+        try:
+            return op not in _READ_OPS
+        except TypeError:  # unhashable junk op: refused as unknown later
+            return True
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -259,7 +229,7 @@ class JournalDispatcher:
         than our epoch means the fleet moved on without us: step down
         before rejecting, so the very first post-partition write from a
         current client permanently fences this zombie."""
-        if op == "promote" or op == "fence":
+        if op not in wire.WRITE_OPS:
             return None
         if self.role == "standby":
             self._c_fenced.inc()
@@ -312,7 +282,7 @@ class JournalDispatcher:
 
     def dispatch_inline(self, request: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         """Non-blocking fast path for the event loop thread: run the
-        request only if it is cheap (:data:`_INLINE_OPS`), does not hit
+        request only if it is cheap (``wire.INLINE_OPS``), does not hit
         the WAL, and the lock is free *right now*.  Returns None when
         the request must go to the worker pool instead.
 
@@ -323,7 +293,7 @@ class JournalDispatcher:
         span per sub-100µs op would cost more than the op.  Worker-pool
         dispatch keeps full tracing."""
         op = request.get("op")
-        if op not in _INLINE_OPS:
+        if op not in wire.INLINE_OPS:
             return None
         read = self.lock_mode == "rw" and op in _READ_OPS
         if not read and self.journal.durability is not None:
@@ -750,10 +720,6 @@ class JournalDispatcher:
     def _op_dump(self, request: Dict[str, Any]) -> Dict[str, Any]:
         return {"ok": True, "journal": self.journal.to_dict()}
 
-    def _op_save(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        self.journal.save(request["path"])
-        return {"ok": True}
-
 
 class _JournalServerBase:
     """Lifecycle plumbing shared by both transports: the listening
@@ -1067,14 +1033,20 @@ class _AsyncConnection:
         await self.send(response)
 
     async def _handle_subscribe(self, rid, request: Dict[str, Any]) -> None:
+        error = None
+        try:
+            since = int(request.get("since", 0))
+        except (TypeError, ValueError):
+            error = f"subscribe needs an integer 'since', got {request.get('since')!r}"
         if self._subscription is not None:
-            response: Dict[str, Any] = {"ok": False, "error": "already subscribed"}
+            error = "already subscribed"
+        if error is not None:
+            response: Dict[str, Any] = {"ok": False, "error": error}
             if rid is not None:
                 response["id"] = rid
             await self.send(response)
             return
         loop = asyncio.get_event_loop()
-        since = int(request.get("since", 0))
 
         def push(changes) -> None:
             frame = self._server.dispatcher.encoded_changes_frame(changes)

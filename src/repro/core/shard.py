@@ -48,7 +48,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from . import query as query_module
 from . import wire
-from .client import LocalClient
+from .client import LocalClient, _SettledReply
 from .journal import Journal, JournalChanges
 from .records import GatewayRecord, InterfaceRecord, Observation, SubnetRecord
 from .sink import FlushStats, ObservationSink
@@ -767,7 +767,7 @@ class ShardedClient:
                 shard_flags = client.observe_batch(
                     items, coalesced=coalesced if first else 0
                 )
-                reply = _SettledShardReply(
+                reply = _SettledReply(
                     {
                         "ok": True,
                         "responses": [
@@ -1023,16 +1023,29 @@ class ShardedClient:
 
     # -- reads -------------------------------------------------------------
 
+    _GLOBALIZERS = {
+        "interfaces": "_globalize_interface",
+        "gateways": "_globalize_gateway",
+        "subnets": "_globalize_subnet",
+    }
+
+    def _gather(self, kind: str, read: Callable[[Any, int], List[Any]]) -> List[Any]:
+        """Scatter *read(client, index)* to every shard, globalize each
+        shard's *kind* records, and merge them in ``(last_modified,
+        record_id)`` order."""
+        globalize = getattr(self, self._GLOBALIZERS[kind])
+        return self._merge_records(
+            self._scatter(
+                lambda client, index: [
+                    globalize(record, index) for record in read(client, index)
+                ]
+            )
+        )
+
     def interfaces_by_ip(self, ip: str) -> List[InterfaceRecord]:
         shard = self.shard_map.shard_for_ip(ip)
         if shard is None:
-            results = self._scatter(
-                lambda client, index: [
-                    self._globalize_interface(r, index)
-                    for r in client.interfaces_by_ip(ip)
-                ]
-            )
-            return self._merge_records(results)
+            return self._gather("interfaces", lambda c, _: c.interfaces_by_ip(ip))
         self._c_routed.inc()
         return [
             self._globalize_interface(record, shard)
@@ -1040,111 +1053,50 @@ class ShardedClient:
         ]
 
     def interfaces_by_mac(self, mac: str) -> List[InterfaceRecord]:
-        results = self._scatter(
-            lambda client, index: [
-                self._globalize_interface(r, index)
-                for r in client.interfaces_by_mac(mac)
-            ]
-        )
-        return self._merge_records(results)
+        return self._gather("interfaces", lambda c, _: c.interfaces_by_mac(mac))
 
     def interfaces_by_name(self, name: str) -> List[InterfaceRecord]:
-        results = self._scatter(
-            lambda client, index: [
-                self._globalize_interface(r, index)
-                for r in client.interfaces_by_name(name)
-            ]
-        )
-        return self._merge_records(results)
+        return self._gather("interfaces", lambda c, _: c.interfaces_by_name(name))
 
     def interfaces_in_ip_range(self, low: str, high: str) -> List[InterfaceRecord]:
-        results = self._scatter(
-            lambda client, index: [
-                self._globalize_interface(r, index)
-                for r in client.interfaces_in_ip_range(low, high)
-            ]
+        return self._gather(
+            "interfaces", lambda c, _: c.interfaces_in_ip_range(low, high)
         )
-        return self._merge_records(results)
 
     def all_interfaces(self) -> List[InterfaceRecord]:
-        results = self._scatter(
-            lambda client, index: [
-                self._globalize_interface(r, index)
-                for r in client.all_interfaces()
-            ]
-        )
-        return self._merge_records(results)
+        return self._gather("interfaces", lambda c, _: c.all_interfaces())
 
     def stale_interfaces(self, *, older_than: float) -> List[InterfaceRecord]:
-        results = self._scatter(
-            lambda client, index: [
-                self._globalize_interface(r, index)
-                for r in client.stale_interfaces(older_than=older_than)
-            ]
+        return self._gather(
+            "interfaces", lambda c, _: c.stale_interfaces(older_than=older_than)
         )
-        return self._merge_records(results)
 
     def all_gateways(self) -> List[GatewayRecord]:
-        results = self._scatter(
-            lambda client, index: [
-                self._globalize_gateway(r, index) for r in client.all_gateways()
-            ]
-        )
-        return self._merge_records(results)
+        return self._gather("gateways", lambda c, _: c.all_gateways())
 
     def all_subnets(self) -> List[SubnetRecord]:
-        results = self._scatter(
-            lambda client, index: [
-                self._globalize_subnet(r, index) for r in client.all_subnets()
-            ]
-        )
-        return self._merge_records(results)
+        return self._gather("subnets", lambda c, _: c.all_subnets())
 
     def interfaces_modified_since(self, when: float) -> List[InterfaceRecord]:
-        results = self._scatter(
-            lambda client, index: [
-                self._globalize_interface(r, index)
-                for r in client.interfaces_modified_since(when)
-            ]
+        return self._gather(
+            "interfaces", lambda c, _: c.interfaces_modified_since(when)
         )
-        return self._merge_records(results)
 
     def gateways_modified_since(self, when: float) -> List[GatewayRecord]:
-        results = self._scatter(
-            lambda client, index: [
-                self._globalize_gateway(r, index)
-                for r in client.gateways_modified_since(when)
-            ]
-        )
-        return self._merge_records(results)
+        return self._gather("gateways", lambda c, _: c.gateways_modified_since(when))
 
     def subnets_modified_since(self, when: float) -> List[SubnetRecord]:
-        results = self._scatter(
-            lambda client, index: [
-                self._globalize_subnet(r, index)
-                for r in client.subnets_modified_since(when)
-            ]
-        )
-        return self._merge_records(results)
-
-    _GLOBALIZERS = {
-        "interfaces": "_globalize_interface",
-        "gateways": "_globalize_gateway",
-        "subnets": "_globalize_subnet",
-    }
+        return self._gather("subnets", lambda c, _: c.subnets_modified_since(when))
 
     def query(self, kind: str, where=None) -> List:
         """Scatter-gather predicate query: each shard evaluates the
         (shard-localized) predicate against its own indexes; results
         merge in global ``(last_modified, record_id)`` order."""
         kind = query_module.normalize_kind(kind)
-        globalize = getattr(self, self._GLOBALIZERS[kind])
-
-        def one_shard(client, index):
-            localized = self._localize_predicate(where, index)
-            return [globalize(r, index) for r in client.query(kind, localized)]
-
-        return self._merge_records(self._scatter(one_shard))
+        return self._gather(
+            kind,
+            lambda c, index: c.query(kind, self._localize_predicate(where, index)),
+        )
 
     # -- topology ----------------------------------------------------------
 
@@ -1292,25 +1244,13 @@ class ShardedClient:
             JournalReplicator(client, target).sync(full=True)
         return aggregate
 
-    def shard_info(self) -> Optional[Dict[str, Any]]:
+    def shard_info(self) -> None:
         """Routers do not nest."""
         return None
 
-
-class _SettledShardReply:
-    """Already-resolved stand-in for a shard without a pipelined path."""
-
-    __slots__ = ("_response",)
-
-    def __init__(self, response: Dict[str, Any]) -> None:
-        self._response = response
-
-    @property
-    def done(self) -> bool:
-        return True
-
-    def wait(self, timeout: Optional[float] = -1.0) -> Dict[str, Any]:
-        return self._response
+    def replica_info(self) -> None:
+        """A fleet has no single replica role (ask each shard)."""
+        return None
 
 
 class _ShardedReply:

@@ -23,7 +23,7 @@ import json
 import select
 import socket
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from .records import (
     Attribute,
@@ -36,9 +36,14 @@ from .records import (
 
 __all__ = [
     "COUNTER_SCHEMA",
+    "INLINE_OPS",
+    "METHODS",
+    "OPS",
+    "Op",
     "READ_OPS",
     "RUN_OUTCOMES",
     "WIRE_OPS",
+    "WRITE_OPS",
     "FrameReader",
     "attribute_to_dict",
     "attribute_from_dict",
@@ -101,58 +106,137 @@ from .query import predicate_from_dict, predicate_to_dict  # noqa: E402
 
 
 # ----------------------------------------------------------------------
-# Protocol schema: ops and counters
+# Protocol schema: the op table, the client method table, counters
 # ----------------------------------------------------------------------
 
-#: The canonical Journal Server op vocabulary.  Verb_object naming:
-#: ``observe`` ops mutate via the ingest pipeline, ``get_*`` ops read,
-#: the rest are control-plane.  (The pre-schema alias ``batch`` and the
-#: legacy counter spellings were dropped after their one-release
-#: deprecation window.)
-WIRE_OPS = frozenset(
-    {
-        # ingest & maintenance (write)
-        "observe", "observe_batch",
-        "absorb_interface", "absorb_gateway", "absorb_subnet",
-        "ensure_gateway", "ensure_subnet", "link_gateway_subnet",
-        "rename_gateway", "delete_interface", "negative_put",
-        # queries (read)
-        "ping", "counts", "metrics",
-        "get_interfaces", "get_gateways", "get_subnets",
-        "query", "path", "impact",
-        "negative_check", "changes_since", "dump", "save",
-        # federation handshake (read)
-        "shard_info",
-        # failover control plane (write: they move the fencing epoch)
-        "promote", "fence",
-        # streaming
-        "subscribe",
-    }
-)
 
-#: ops that never mutate the Journal.  The dispatcher runs these under
-#: the shared read lock and exempts them from epoch fencing — a fenced
-#: ex-primary and a standby both keep serving reads.  (negative_check
-#: may lazily evict an expired entry, but that eviction is idempotent
-#: and race-free — see Journal.negative_check.)
-READ_OPS = frozenset(
-    {
-        "ping",
-        "counts",
-        "metrics",
-        "shard_info",
-        "get_interfaces",
-        "get_gateways",
-        "get_subnets",
-        "query",
-        "path",
-        "impact",
-        "negative_check",
-        "changes_since",
-        "dump",
-        "save",
-    }
-)
+class Op(NamedTuple):
+    """One wire op's row in :data:`OPS`.
+
+    *kind* is the op class:
+
+    * ``read`` — never mutates the Journal: runs under the shared read
+      lock, is exempt from epoch fencing (a standby and a fenced
+      ex-primary keep serving it), and a failover client may hedge it
+      to a follower;
+    * ``write`` — mutates: takes the write lock, is fenced, carries the
+      client's epoch stamp, and a failover client hands it over to the
+      next primary and retries it there;
+    * ``control`` — the failover control plane (``promote``/``fence``):
+      write lock, but never fenced and never epoch-stamped, because
+      moving the epoch is its whole job;
+    * ``stream`` — ``subscribe``, which turns the connection into a
+      change-feed push stream instead of answering once.
+
+    *inline* marks ops cheap enough for the event-loop fast path when
+    the lock is free: O(1)-ish handlers that never serialise the whole
+    journal.  (Writes still leave the loop when a WAL is attached.)
+    """
+
+    kind: str
+    inline: bool = False
+
+
+#: The Journal Server op vocabulary, one row per op.  Verb_object
+#: naming: ``observe`` ops mutate via the ingest pipeline, ``get_*`` ops
+#: read.  Every derived set below, the dispatcher's handler table, the
+#: clients' epoch stamping and the failover proxies come from here.
+#: (negative_check may lazily evict an expired entry, but that eviction
+#: is idempotent and race-free — see Journal.negative_check.)
+OPS: Dict[str, Op] = {
+    # ingest & maintenance
+    "observe": Op("write", inline=True),
+    "observe_batch": Op("write"),
+    "absorb_interface": Op("write", inline=True),
+    "absorb_gateway": Op("write", inline=True),
+    "absorb_subnet": Op("write", inline=True),
+    "ensure_gateway": Op("write", inline=True),
+    "ensure_subnet": Op("write", inline=True),
+    "link_gateway_subnet": Op("write", inline=True),
+    "rename_gateway": Op("write"),
+    "delete_interface": Op("write", inline=True),
+    "negative_put": Op("write", inline=True),
+    # queries (indexed predicate evaluation is O(result), so ``query``
+    # may run inline; whole-table reads and dumps go to the pool)
+    "ping": Op("read", inline=True),
+    "counts": Op("read", inline=True),
+    "metrics": Op("read", inline=True),
+    "shard_info": Op("read", inline=True),
+    "negative_check": Op("read", inline=True),
+    "changes_since": Op("read", inline=True),
+    "query": Op("read", inline=True),
+    "get_interfaces": Op("read"),
+    "get_gateways": Op("read"),
+    "get_subnets": Op("read"),
+    "path": Op("read"),
+    "impact": Op("read"),
+    "dump": Op("read"),
+    # failover control plane (they move the fencing epoch)
+    "promote": Op("control"),
+    "fence": Op("control"),
+    # streaming
+    "subscribe": Op("stream"),
+}
+
+#: One row per public journal-client method — the surface every
+#: :func:`~repro.core.client.connect` shape implements — naming the op
+#: it issues.  :class:`~repro.core.failover.FailoverClient` installs
+#: its proxies from these rows (read ops hedge to a follower, writes
+#: fail over and retry), and ``tests/integration/test_conformance.py``
+#: runs every row against every shape.
+METHODS: Dict[str, str] = {
+    "observe_interface": "observe",
+    "submit": "observe",
+    "resolve": "observe",
+    "observe_batch": "observe_batch",
+    "flush": "observe_batch",
+    "ensure_gateway": "ensure_gateway",
+    "rename_gateway": "rename_gateway",
+    "link_gateway_subnet": "link_gateway_subnet",
+    "ensure_subnet": "ensure_subnet",
+    "delete_interface": "delete_interface",
+    "absorb_interface": "absorb_interface",
+    "absorb_gateway": "absorb_gateway",
+    "absorb_subnet": "absorb_subnet",
+    "negative_put": "negative_put",
+    "interfaces_by_ip": "get_interfaces",
+    "interfaces_by_mac": "get_interfaces",
+    "interfaces_by_name": "get_interfaces",
+    "interfaces_in_ip_range": "get_interfaces",
+    "all_interfaces": "get_interfaces",
+    "stale_interfaces": "get_interfaces",
+    "interfaces_modified_since": "get_interfaces",
+    "all_gateways": "get_gateways",
+    "gateways_modified_since": "get_gateways",
+    "all_subnets": "get_subnets",
+    "subnets_modified_since": "get_subnets",
+    "query": "query",
+    "path": "path",
+    "impact": "impact",
+    "counts": "counts",
+    "revision": "counts",
+    "metrics": "metrics",
+    "negative_check": "negative_check",
+    "changes_since": "changes_since",
+    "snapshot": "dump",
+    "shard_info": "shard_info",
+    "replica_info": "shard_info",
+    "subscribe": "subscribe",
+}
+
+
+def _ops_of(*kinds: str) -> frozenset:
+    return frozenset(name for name, op in OPS.items() if op.kind in kinds)
+
+
+#: every op the server understands
+WIRE_OPS = frozenset(OPS)
+#: shared read lock, unfenced, hedged by failover clients
+READ_OPS = _ops_of("read")
+#: fenced, epoch-stamped, handed over to the next primary on failover
+WRITE_OPS = _ops_of("write")
+#: eligible for the dispatcher's event-loop fast path
+INLINE_OPS = frozenset(name for name, op in OPS.items() if op.inline)
 
 #: ``Journal.counts()`` key -> registry metric name.  This is the one
 #: documented mapping between the legacy dashboard-shaped dict and the

@@ -120,6 +120,21 @@ class TestFencing:
             admin.fence(5)
             assert admin.replica_info()["role"] == "fenced"
 
+    @pytest.mark.parametrize("role", ["standby", "fenced"])
+    def test_exclusive_lock_mode_still_serves_reads(self, role):
+        # Under lock_mode="exclusive" reads take the write lock, but
+        # fencing is about the op's class, not the lock it takes.
+        server = JournalServer(Journal(), lock_mode="exclusive").start()
+        try:
+            server.dispatcher.role = role
+            with RemoteClient(*server.address) as client:
+                assert client.counts()["interfaces"] == 0
+                assert client.all_interfaces() == []
+                with pytest.raises(FencedError):
+                    client.resolve(obs(1))
+        finally:
+            server.stop()
+
 
 class TestReplicaTargets:
     def test_parse_and_format_round_trip(self):

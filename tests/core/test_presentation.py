@@ -1,5 +1,5 @@
 """Presentation tests: the report registry, viewers, exporters, and
-the one-release deprecation shims."""
+the removed deprecation shims."""
 
 import pathlib
 import warnings
@@ -267,47 +267,40 @@ class TestTopologyReports:
         assert "unknown node" in text
 
 
-class TestDeprecatedShims:
-    """PR 5 policy: old entry points keep working for one release but
-    warn; CI runs this file with DeprecationWarning-as-error to prove
-    the new surface itself is warning-free."""
+class TestDeprecatedShimsGone:
+    """The PR 5 shims' one-release window closed: the seven free
+    functions are no longer importable, and the registry surface that
+    replaced them stays silent with deprecations as errors (CI runs
+    this file under ``-W error::DeprecationWarning``)."""
 
-    CASES = [
-        ("journal_dump", (), {}, "dump", {}),
-        ("interface_report", (), {"network": None}, "interfaces",
-         {"network": None}),
-        ("subnet_interfaces_report", ("10.0.1.0/24",), {}, "subnet",
-         {"subnet": "10.0.1.0/24"}),
-        ("interface_detail", ("10.0.1.10",), {}, "interface",
-         {"ip": "10.0.1.10"}),
-        ("sunnet_export", (), {}, "sunnet", {}),
-        ("dot_export", (), {}, "dot", {}),
-        ("svg_export", (), {}, "svg", {}),
-    ]
-
-    @pytest.mark.parametrize(
-        "old,args,kwargs,name,params",
-        CASES,
-        ids=[case[0] for case in CASES],
+    SHIMS = (
+        "journal_dump",
+        "interface_report",
+        "subnet_interfaces_report",
+        "interface_detail",
+        "sunnet_export",
+        "dot_export",
+        "svg_export",
     )
-    def test_shim_warns_and_matches_registry(
-        self, populated, old, args, kwargs, name, params
-    ):
+
+    @pytest.mark.parametrize("old", SHIMS)
+    def test_shim_removed(self, old):
         from repro.core import presentation
 
-        journal, _state = populated
-        shim = getattr(presentation, old)
-        with pytest.deprecated_call(match=f"{old}.*deprecated"):
-            via_shim = shim(journal, *args, **kwargs)
-        assert via_shim == render_report(journal, name, **params)
+        assert not hasattr(presentation, old)
+        assert old not in presentation.__all__
+        with pytest.raises(ImportError):
+            exec(f"from repro.core.presentation import {old}", {})
 
-    def test_shims_raise_under_warnings_as_errors(self, populated):
-        from repro.core.presentation import journal_dump
+    def test_shim_helper_removed(self):
+        from repro.core import presentation
 
+        assert not hasattr(presentation, "_deprecated_shim")
+
+    def test_registry_is_warning_free(self, populated):
         journal, _state = populated
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            with pytest.raises(DeprecationWarning):
-                journal_dump(journal)
-            # The registry surface stays silent under the same filter.
-            render_report(journal, "dump")
+            for report in list_reports():
+                if not report.params:
+                    render_report(journal, report.name)
