@@ -1,10 +1,11 @@
 """Perf benchmark: connection fan-in on the Journal Server.
 
 The paper's Journal Server fields every Explorer Module and every UI
-client in the site at once.  The threaded transport burns one OS
-thread per connection and one round trip per request; the async
-transport multiplexes every socket onto one event loop and lets
-clients pipeline requests (tagged ids, out-of-order completion).
+client in the site at once.  The async Journal Server multiplexes every
+socket onto one event loop and lets clients pipeline requests (tagged
+ids, out-of-order completion); the thread-per-connection baseline in
+``_baselines.py`` burns one OS thread per connection and one round
+trip per request.
 
 This harness opens *N* concurrent client connections against each
 transport and drives a mixed workload (~90% ``observe`` writes, ~10%
@@ -12,7 +13,7 @@ transport and drives a mixed workload (~90% ``observe`` writes, ~10%
 reports sustained ops/sec and the ``counts`` read p95 per fan-in
 level.  The async transport is measured up to thousands of
 connections; the threaded baseline stops at 1000 (a thread per socket
-is exactly the scaling wall this PR removes).
+is exactly the scaling wall the event loop removes).
 
 Results land in ``BENCH_fanin.json``.
 
@@ -34,7 +35,12 @@ import threading
 import time
 from typing import Dict, List, Optional
 
-from repro.core import Journal, JournalServer, RemoteClient, ThreadedJournalServer
+from repro.core import Journal, JournalServer, RemoteClient
+
+try:  # run as a script (benchmarks/ on sys.path) or as a package module
+    from _baselines import ThreadedJournalServer
+except ImportError:
+    from ._baselines import ThreadedJournalServer
 
 SOURCE = "fanin"
 DRIVERS = 8

@@ -13,9 +13,9 @@ mutex.  This harness measures both halves of the pipeline rework:
   Journal state; observations/sec is reported for each.
 
 * **Read latency under load** — a fast reader samples ``counts`` while
-  heavy readers (``save`` ops serialising the whole journal) and
+  heavy readers (``dump`` ops serialising the whole journal) and
   writers hammer the same server, once with the old exclusive mutex
-  (``lock_mode="exclusive"``) and once with the read/write lock.  With
+  (``_baselines.ExclusiveLock``) and once with the read/write lock.  With
   the RW lock a cheap read no longer queues behind every in-flight
   heavy read.
 
@@ -50,6 +50,11 @@ from repro.core import (
     wire,
 )
 from repro.core.records import Observation
+
+try:  # run as a script (benchmarks/ on sys.path) or as a package module
+    from _baselines import ExclusiveLock
+except ImportError:
+    from ._baselines import ExclusiveLock
 
 SOURCE = "bench"
 
@@ -184,7 +189,9 @@ def bench_read_latency(
         journal = Journal()
         for observation in build_stream(records, 1):
             journal.submit(observation)
-        server = JournalServer(journal, lock_mode=lock_mode)
+        server = JournalServer(journal)
+        if lock_mode == "exclusive":
+            server.dispatcher.rwlock = ExclusiveLock()
         server.start()
         stop = threading.Event()
         dumps_done = [0]

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..netsim.addresses import Ipv4Address, Netmask, Subnet
+from .correlate import record_subnet
 from .journal import Journal
 from .query import Stale
 from .records import InterfaceRecord
@@ -606,21 +607,9 @@ def address_space_report(
         stale_horizon = journal.now - 7 * 24 * 3600.0
     groups: Dict[Subnet, List[InterfaceRecord]] = defaultdict(list)
     for record in journal.all_interfaces():
-        if record.ip is None:
-            continue
-        try:
-            ip = Ipv4Address.parse(record.ip)
-        except ValueError:
-            continue
-        mask = None
-        if record.subnet_mask:
-            try:
-                mask = Netmask.parse(record.subnet_mask)
-            except ValueError:
-                mask = None
-        if mask is None:
-            mask = Netmask.from_prefix(default_prefix)
-        groups[Subnet.containing(ip, mask)].append(record)
+        subnet = record_subnet(record, default_prefix)
+        if subnet is not None:
+            groups[subnet].append(record)
     report = []
     for subnet, records in sorted(groups.items(), key=lambda kv: str(kv[0])):
         addresses = sorted(

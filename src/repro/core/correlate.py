@@ -48,9 +48,31 @@ __all__ = [
     "CorrelationReport",
     "FederatedCorrelator",
     "TopologyGraph",
+    "record_subnet",
 ]
 
 SOURCE = "correlator"
+
+
+def record_subnet(
+    record: InterfaceRecord, default_prefix: int = 24
+) -> Optional[Subnet]:
+    """The subnet an interface record belongs to: by its own recorded
+    mask, else by the campus *default_prefix*.  None when the record
+    has no parseable IP address."""
+    if record.ip is None:
+        return None
+    try:
+        ip = Ipv4Address.parse(record.ip)
+    except ValueError:
+        return None
+    mask_text = record.subnet_mask
+    if mask_text:
+        try:
+            return Subnet.containing(ip, Netmask.parse(mask_text))
+        except ValueError:
+            pass
+    return Subnet.containing(ip, Netmask.from_prefix(default_prefix))
 
 
 @dataclass
@@ -192,30 +214,15 @@ class Correlator:
     # ------------------------------------------------------------------
 
     def subnet_of_record(self, record: InterfaceRecord) -> Optional[Subnet]:
-        """The subnet an interface record belongs to, by its own mask
-        (falling back to the campus default prefix).  Memoised per
-        record, keyed on the record's Journal revision."""
+        """:func:`record_subnet` at this correlator's default prefix,
+        memoised per record and keyed on the record's Journal
+        revision."""
         cached = self._subnet_memo.get(record.record_id)
         if cached is not None and cached[0] == record.revision:
             return cached[1]
-        subnet = self._compute_subnet(record)
+        subnet = record_subnet(record, self.default_prefix)
         self._subnet_memo[record.record_id] = (record.revision, subnet)
         return subnet
-
-    def _compute_subnet(self, record: InterfaceRecord) -> Optional[Subnet]:
-        if record.ip is None:
-            return None
-        try:
-            ip = Ipv4Address.parse(record.ip)
-        except ValueError:
-            return None
-        mask_text = record.subnet_mask
-        if mask_text:
-            try:
-                return Subnet.containing(ip, Netmask.parse(mask_text))
-            except ValueError:
-                pass
-        return Subnet.containing(ip, Netmask.from_prefix(self.default_prefix))
 
     # ------------------------------------------------------------------
     # Reverse-map maintenance

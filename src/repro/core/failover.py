@@ -18,10 +18,10 @@ shard survive them:
 * :class:`FailoverClient` — the client side: holds a shard's replica
   address list, health-checks the primary (missed heartbeats and
   :class:`~repro.core.client.ReplyTimeout`/:class:`ConnectionError`
-  signals), hedges slow reads to a follower, and on primary failure
-  promotes the **freshest** reachable standby (highest ``(epoch,
-  revision)``) at a strictly larger epoch, fencing any stale
-  ex-primary it can still reach.
+  signals), and on primary failure promotes the **freshest**
+  reachable standby (highest ``(epoch, revision)``) at a strictly
+  larger epoch, fencing any stale ex-primary it can still reach.  Reads
+  and writes alike fail over and retry on the new primary.
 
 Failover contracts (DESIGN.md §13)
 ----------------------------------
@@ -359,8 +359,8 @@ class StandbyReplica:
 
 
 class FailoverClient:
-    """Replica-set client for one shard: routes to the primary, hedges
-    reads to followers, and promotes on failure.
+    """Replica-set client for one shard: routes every op to the primary
+    and promotes on failure.
 
     Duck-types the :class:`~repro.core.client.RemoteClient` surface
     (reads, writes, batches, subscribe, flush), so a
@@ -371,9 +371,10 @@ class FailoverClient:
     exhausted its own reconnect budget) or a
     :class:`~repro.core.client.ReplyTimeout` from any op, or
     *heartbeat_misses* consecutive failed background pings when
-    *heartbeat_interval* is set.  Reads are then hedged to a follower
-    (standbys serve reads) for the answer while the fleet re-discovers;
-    writes re-discover first and retry once.
+    *heartbeat_interval* is set.  Every op then re-discovers the
+    primary and retries, reads included: a follower answers with its
+    own record ids, which the next id-taking write to the primary would
+    not resolve.
 
     Discovery prefers a sitting primary at ``epoch >= ours``; absent
     one it promotes the freshest candidate (highest ``(epoch,
@@ -400,7 +401,6 @@ class FailoverClient:
         self._lock = threading.RLock()
         self._client: Optional[RemoteClient] = None
         self._active_index: Optional[int] = None
-        self._followers: Dict[int, RemoteClient] = {}
         #: highest fencing epoch observed/installed by this client
         self.epoch = 0
         #: set by the heartbeat thread; the next op re-discovers first
@@ -413,10 +413,6 @@ class FailoverClient:
         self._c_promotions = self.telemetry.counter(
             "fremont_failover_promotions_total",
             "Standbys this client promoted to primary",
-        )
-        self._c_hedged = self.telemetry.counter(
-            "fremont_failover_hedged_reads_total",
-            "Reads answered by a follower after the primary went quiet",
         )
         self._c_fenced = self.telemetry.counter(
             "fremont_failover_fenced_total",
@@ -559,12 +555,6 @@ class FailoverClient:
                 self._client.close()
             except (ConnectionError, OSError):
                 pass
-        for follower in self._followers.values():
-            try:
-                follower.close()
-            except (ConnectionError, OSError):
-                pass
-        self._followers.clear()
         host, port = self.addresses[index]
         self.epoch = max(self.epoch, int(epoch))
         # Parking disabled (buffer_limit=0): a plain RemoteClient
@@ -632,7 +622,7 @@ class FailoverClient:
         if self._suspect:
             self._failover()
 
-    def _run_write(self, fn):
+    def _run(self, fn):
         with self._lock:
             self._preflight()
             try:
@@ -644,24 +634,6 @@ class FailoverClient:
                 self._discover()
                 return fn(self._client)
             except (ConnectionError, ReplyTimeout) as error:
-                return self._retry_op(fn, error)
-
-    def _run_read(self, fn):
-        with self._lock:
-            self._preflight()
-            try:
-                return fn(self._client)
-            except (ConnectionError, ReplyTimeout) as error:
-                # Hedge: any follower can answer a read while the
-                # primary is quiet; re-discovery happens best-effort so
-                # the *next* op starts healthy.
-                result, answered = self._hedge(fn)
-                if answered:
-                    try:
-                        self._failover()
-                    except (ConnectionError, ReplyTimeout):
-                        pass
-                    return result
                 return self._retry_op(fn, error)
 
     def _retry_op(self, fn, error):
@@ -687,40 +659,6 @@ class FailoverClient:
                 error = exc
         raise error
 
-    def _hedge(self, fn) -> Tuple[Any, bool]:
-        for index in range(len(self.addresses)):
-            if index == self._active_index:
-                continue
-            follower = self._follower(index)
-            if follower is None:
-                continue
-            try:
-                result = fn(follower)
-            except (OSError, ConnectionError, TimeoutError, RuntimeError,
-                    wire.WireError):
-                continue
-            self._c_hedged.inc()
-            return result, True
-        return None, False
-
-    def _follower(self, index: int) -> Optional[RemoteClient]:
-        follower = self._followers.get(index)
-        if follower is not None:
-            return follower
-        host, port = self.addresses[index]
-        options = dict(self._retry)
-        options.update(
-            timeout=self._probe_timeout,
-            request_timeout=self._probe_timeout,
-            reconnect_attempts=1,
-        )
-        try:
-            follower = RemoteClient(host, port, **options)
-        except OSError:
-            return None
-        self._followers[index] = follower
-        return follower
-
     # -- direct surface --------------------------------------------------
 
     def subscribe(self, *, since: int = 0) -> RemoteChangeFeed:
@@ -735,7 +673,7 @@ class FailoverClient:
         handle is bound to that connection: failover happens on the
         *send*; a reply that later times out surfaces to the caller's
         wait, exactly like a plain RemoteClient."""
-        return self._run_write(
+        return self._run(
             lambda client: client.observe_batch_nowait(
                 observations, coalesced=coalesced
             )
@@ -769,12 +707,6 @@ class FailoverClient:
                 except (ConnectionError, OSError):
                     pass
                 self._client = None
-            for follower in self._followers.values():
-                try:
-                    follower.close()
-                except (ConnectionError, OSError):
-                    pass
-            self._followers.clear()
 
     def __enter__(self) -> "FailoverClient":
         return self
@@ -784,30 +716,24 @@ class FailoverClient:
 
 
 def _install_proxies() -> None:
-    """One proxy per method row of the op table: read ops hedge to a
-    follower, write ops fail over and retry.  ``subscribe`` (a stream)
-    is written out above."""
+    """One failover-and-retry proxy per method row of the op table.
+    ``subscribe`` (a stream) is written out above."""
 
-    def make(name: str, runner_name: str):
+    def make(name: str):
         def method(self, *args, **kwargs):
-            runner = getattr(self, runner_name)
-            return runner(
-                lambda client: getattr(client, name)(*args, **kwargs)
-            )
+            return self._run(lambda client: getattr(client, name)(*args, **kwargs))
 
         method.__name__ = name
         method.__qualname__ = f"FailoverClient.{name}"
         method.__doc__ = (
             f"``RemoteClient.{name}`` against the active primary, with "
-            f"{'follower hedging' if runner_name == '_run_read' else 'failover-and-retry'}."
+            "failover-and-retry."
         )
         return method
 
     for name, op in wire.METHODS.items():
-        kind = wire.OPS[op].kind
-        if kind != "stream":
-            runner = "_run_read" if kind == "read" else "_run_write"
-            setattr(FailoverClient, name, make(name, runner))
+        if wire.OPS[op].kind != "stream":
+            setattr(FailoverClient, name, make(name))
 
 
 _install_proxies()

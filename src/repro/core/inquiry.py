@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..netsim.addresses import Ipv4Address, Subnet
-from .correlate import Correlator
+from .correlate import Correlator, record_subnet
 from .journal import Journal
 from .records import GatewayRecord, InterfaceRecord
 
@@ -106,7 +106,7 @@ class NetworkPicture:
         """Which subnet does this host or address live on?"""
         records = self.where_is(what)
         for record in records:
-            subnet = self._correlator.subnet_of_record(record)
+            subnet = record_subnet(record, self.default_prefix)
             if subnet is not None:
                 return subnet
         return None

@@ -4,30 +4,24 @@
 updates, time-stamps and records the data, and answers queries from
 programs that wish to interrogate the Journal."
 
-Two transports share one op layer:
+One transport, :class:`JournalServer`: a single ``asyncio`` event loop
+multiplexing thousands of sockets.  Requests carrying an ``"id"`` are
+*pipelined*: several may be in flight per connection, handlers run
+concurrently (reads share the RW lock), and responses return as they
+complete — out of order, but never torn, because one sender task per
+connection owns the socket.  Write ops still execute in per-connection
+submission order, so a pipelined BatchingSink cannot reorder the
+observation stream.  Journal work that can block (lock waits, fsync,
+big dumps) runs on a small bounded worker pool; cheap ops take a
+non-blocking inline fast path on the loop thread when the lock is
+free.  The streaming ``subscribe`` feed is a native async push — no
+thread per feed — and a subscriber that cannot keep up is cut over to
+the ``changes_since`` polling fallback (a ``feed_lagged`` frame)
+instead of stalling the loop.
 
-* :class:`JournalServer` — the default: a single ``asyncio`` event loop
-  multiplexing thousands of sockets.  Requests carrying an ``"id"``
-  are *pipelined*: several may be in flight per connection, handlers
-  run concurrently (reads share the RW lock), and responses return as
-  they complete — out of order, but never torn, because one sender
-  task per connection owns the socket.  Write ops still execute in
-  per-connection submission order, so a pipelined BatchingSink cannot
-  reorder the observation stream.  Journal work that can block (lock
-  waits, fsync, big dumps) runs on a small bounded worker pool;
-  cheap ops take a non-blocking inline fast path on the loop thread
-  when the lock is free.  The streaming ``subscribe`` feed is a native
-  async push — no thread per feed — and a subscriber that cannot keep
-  up is cut over to the ``changes_since`` polling fallback (a
-  ``feed_lagged`` frame) instead of stalling the loop.
-
-* :class:`ThreadedJournalServer` — the pre-async thread-per-connection
-  transport, kept as the measured baseline for
-  ``benchmarks/bench_perf_fanin.py``.
-
-Both dispatch through :class:`JournalDispatcher`, which owns the op
-vocabulary, the write-preferring RW lock (``lock_mode="exclusive"``
-restores the old single-mutex behaviour), per-op telemetry, and the
+The server dispatches through :class:`JournalDispatcher`, which owns
+the op vocabulary, the write-preferring RW lock (read ops share it,
+everything else takes the write side), per-op telemetry, and the
 checkpoint policy hooks: every completed write op checks the ops/bytes
 thresholds while still holding the write lock; a background thread
 covers the age threshold; ``stop()`` takes a final checkpoint
@@ -48,7 +42,7 @@ from .journal import Journal
 from .locks import ReadWriteLock
 from .telemetry import DEPTH_BUCKETS, SIZE_BUCKETS
 
-__all__ = ["JournalDispatcher", "JournalServer", "ThreadedJournalServer"]
+__all__ = ["JournalDispatcher", "JournalServer"]
 
 #: ops that share the read lock (derived from the op table in wire.py)
 _READ_OPS = wire.READ_OPS
@@ -63,24 +57,17 @@ _DIRECT_WRITE_LIMIT = 64 * 1024
 
 
 class JournalDispatcher:
-    """The transport-independent op layer of the Journal Server.
+    """The op layer of the Journal Server.
 
     Owns the RW lock discipline, the ``_op_*`` handler table, per-op
-    telemetry, and the write-path checkpoint check.  Both server
-    transports call :meth:`dispatch` (blocking, from a worker or
-    connection thread); the async server additionally tries
+    telemetry, and the write-path checkpoint check.  The server calls
+    :meth:`dispatch` (blocking, from a worker thread) and tries
     :meth:`dispatch_inline` first for cheap ops.
     """
 
-    def __init__(self, journal: Journal, *, lock_mode: str = "rw") -> None:
-        if lock_mode not in ("rw", "exclusive"):
-            raise ValueError(f"unknown lock_mode: {lock_mode!r}")
+    def __init__(self, journal: Journal) -> None:
         self.journal = journal
-        self.lock_mode = lock_mode
         self.rwlock = ReadWriteLock()
-        #: transport hook invoked by status ops (ping/counts) — the
-        #: threaded server reaps finished connection threads here.
-        self.on_status: Optional[Callable[[], None]] = None
         #: federation handshake body (``{"version", "shards", "prefix",
         #: "index"}``) when this server runs as one shard of a fleet
         #: (``serve --shard K/N``); None for single-tenant servers.
@@ -181,7 +168,7 @@ class JournalDispatcher:
                 return self._dispatch_locked(op, handler, request)
 
     def _dispatch_locked(self, op, handler, request: Dict[str, Any]) -> Dict[str, Any]:
-        if self.lock_mode == "rw" and op in _READ_OPS:
+        if op in _READ_OPS:
             waited_from = time.perf_counter()
             with self.rwlock.read_locked():
                 self._h_lock_wait.labels(mode="read").observe(
@@ -199,22 +186,21 @@ class JournalDispatcher:
             if rejection is not None:
                 return rejection
             response = handler(request)
-            self._after_write(op)
+            self._after_write()
             return response
 
-    def _after_write(self, op) -> None:
+    def _after_write(self) -> None:
         """Runs with the write lock held, after a completed write op:
         the change feed publishes while state is consistent, and the
         ops/bytes checkpoint thresholds are checked — the background
         thread only needs to cover the age threshold."""
-        if op not in _READ_OPS:
-            if self.publish_soon is not None:
-                self.publish_soon()
-            else:
-                self.journal.publish()
-            store = self.journal.durability
-            if store is not None and store.due():
-                store.checkpoint()
+        if self.publish_soon is not None:
+            self.publish_soon()
+        else:
+            self.journal.publish()
+        store = self.journal.durability
+        if store is not None and store.due():
+            store.checkpoint()
 
     def _fence_reject(self, op, request) -> Optional[Dict[str, Any]]:
         """Epoch-fencing gate, run with the write lock held before any
@@ -295,7 +281,7 @@ class JournalDispatcher:
         op = request.get("op")
         if op not in wire.INLINE_OPS:
             return None
-        read = self.lock_mode == "rw" and op in _READ_OPS
+        read = op in _READ_OPS
         if not read and self.journal.durability is not None:
             # Write with a WAL attached: the append (and possibly an
             # fsync) must not run on the loop thread.
@@ -320,7 +306,7 @@ class JournalDispatcher:
                     return rejection
             response = handler(request)
             if not read:
-                self._after_write(op)
+                self._after_write()
             sample.observe(time.perf_counter() - started)
             return response
         finally:
@@ -434,8 +420,6 @@ class JournalDispatcher:
         return {"ok": True, "responses": responses}
 
     def _op_ping(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        if self.on_status is not None:
-            self.on_status()
         return {
             "ok": True,
             "counts": self.journal.counts(),
@@ -696,8 +680,6 @@ class JournalDispatcher:
     def _op_counts(self, request: Dict[str, Any]) -> Dict[str, Any]:
         # counts() carries the journal revision, so remote clients can
         # cheaply poll "did anything change since revision N?"
-        if self.on_status is not None:
-            self.on_status()
         return {"ok": True, "counts": self.journal.counts()}
 
     def _op_changes_since(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -719,102 +701,6 @@ class JournalDispatcher:
 
     def _op_dump(self, request: Dict[str, Any]) -> Dict[str, Any]:
         return {"ok": True, "journal": self.journal.to_dict()}
-
-
-class _JournalServerBase:
-    """Lifecycle plumbing shared by both transports: the listening
-    socket, the checkpoint watchdog thread, and final persistence."""
-
-    def __init__(
-        self,
-        journal: Journal,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        lock_mode: str = "rw",
-        checkpoint_poll: float = 1.0,
-    ) -> None:
-        if checkpoint_poll <= 0:
-            raise ValueError("checkpoint_poll must be positive")
-        self.journal = journal
-        self.lock_mode = lock_mode
-        self.dispatcher = JournalDispatcher(journal, lock_mode=lock_mode)
-        #: how often the background thread re-evaluates the age threshold
-        self.checkpoint_poll = checkpoint_poll
-        #: server metrics live in the Journal's registry, so one
-        #: snapshot covers storage and front-end alike.
-        self.telemetry = journal.telemetry
-        self._listener = socket.create_server((host, port))
-        self._checkpoint_thread: Optional[threading.Thread] = None
-        self._checkpoint_stop = threading.Event()
-        #: persist here on stop() when set
-        self.persist_path: Optional[str] = None
-
-    @property
-    def requests_served(self) -> int:
-        """Compatibility view of ``fremont_server_requests_total``."""
-        return self.dispatcher.requests_served
-
-    @requests_served.setter
-    def requests_served(self, value: int) -> None:
-        self.dispatcher._c_requests.reset_to(value)
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self._listener.getsockname()
-
-    def _dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Direct (in-process) dispatch — test and tooling hook."""
-        return self.dispatcher.dispatch(request)
-
-    # -- checkpoint watchdog ---------------------------------------------
-
-    def _start_checkpoint_thread(self) -> None:
-        if self.journal.durability is None:
-            return
-        self._checkpoint_stop.clear()
-        self._checkpoint_thread = threading.Thread(
-            target=self._checkpoint_loop,
-            name="journal-server-checkpoint",
-            daemon=True,
-        )
-        self._checkpoint_thread.start()
-
-    def _stop_checkpoint_thread(self) -> None:
-        self._checkpoint_stop.set()
-        if self._checkpoint_thread is not None:
-            self._checkpoint_thread.join(timeout=5.0)
-            self._checkpoint_thread = None
-
-    def _checkpoint_loop(self) -> None:
-        """Age-threshold watchdog: a server receiving no writes would
-        otherwise never trip the per-op ops/bytes checks, leaving an
-        unbounded WAL replay window."""
-        while not self._checkpoint_stop.wait(self.checkpoint_poll):
-            if self.journal.durability is None:
-                break
-            self.dispatcher.checkpoint_if_due()
-
-    def _finalize_stop(self) -> None:
-        with self.dispatcher.rwlock.write_locked():
-            if self.journal.durability is not None:
-                # Termination checkpoint: everything the WAL holds is
-                # folded into a snapshot before the process exits.
-                self.journal.durability.checkpoint()
-            if self.persist_path is not None:
-                self.journal.save(self.persist_path)
-
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    def start(self):  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def stop(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
 
 
 class _AsyncConnection:
@@ -1133,7 +1019,7 @@ class _AsyncConnection:
                 pass
 
 
-class JournalServer(_JournalServerBase):
+class JournalServer:
     """Asyncio front-end guarding concurrent access to a
     :class:`Journal` — one event loop, thousands of sockets, pipelined
     requests.  The loop runs on a dedicated thread so the public
@@ -1145,36 +1031,41 @@ class JournalServer(_JournalServerBase):
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        lock_mode: str = "rw",
         checkpoint_poll: float = 1.0,
         max_workers: int = 4,
         queue_limit: int = 256,
         drain_timeout: float = 5.0,
     ) -> None:
-        super().__init__(
-            journal,
-            host=host,
-            port=port,
-            lock_mode=lock_mode,
-            checkpoint_poll=checkpoint_poll,
-        )
+        if checkpoint_poll <= 0:
+            raise ValueError("checkpoint_poll must be positive")
         if max_workers < 1:
             raise ValueError("max_workers must be at least 1")
         if queue_limit < 2:
             raise ValueError("queue_limit must be at least 2")
+        self.journal = journal
+        self.dispatcher = JournalDispatcher(journal)
+        #: how often the background thread re-evaluates the age threshold
+        self.checkpoint_poll = checkpoint_poll
         #: bounded pool for lock-waiting/fsyncing/serialising work
         self.max_workers = max_workers
         #: per-connection outbound queue bound (frames)
         self.queue_limit = queue_limit
         #: grace period for in-flight requests at stop()
         self.drain_timeout = drain_timeout
+        #: persist here on stop() when set
+        self.persist_path: Optional[str] = None
+        #: server metrics live in the Journal's registry, so one
+        #: snapshot covers storage and front-end alike.
+        self.telemetry = journal.telemetry
+        self._listener = socket.create_server((host, port))
+        self._checkpoint_thread: Optional[threading.Thread] = None
+        self._checkpoint_stop = threading.Event()
         self._executor: Optional[ThreadPoolExecutor] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._stop_requested: Optional[asyncio.Event] = None
         #: open connections; loop-thread mutated, len() read anywhere
         self._connections: Dict[_AsyncConnection, asyncio.Task] = {}
-        self._running = False
         self._g_connections = self.telemetry.gauge(
             "fremont_server_connections", "Open Journal Server connections"
         )
@@ -1193,16 +1084,34 @@ class JournalServer(_JournalServerBase):
         self.dispatcher.publish_soon = self._schedule_publish
 
     @property
+    def requests_served(self) -> int:
+        """Compatibility view of ``fremont_server_requests_total``."""
+        return self.dispatcher.requests_served
+
+    @property
+    def address(self) -> Tuple[str, int]:
+        return self._listener.getsockname()
+
+    @property
     def live_connections(self) -> int:
         """Currently open client connections."""
         return len(self._connections)
+
+    def _dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """Direct (in-process) dispatch — test and tooling hook."""
+        return self.dispatcher.dispatch(request)
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     def start(self) -> "JournalServer":
-        self._running = True
         self._executor = ThreadPoolExecutor(
             max_workers=self.max_workers, thread_name_prefix="journal-worker"
         )
@@ -1217,7 +1126,6 @@ class JournalServer(_JournalServerBase):
         return self
 
     def stop(self) -> None:
-        self._running = False
         self._stop_checkpoint_thread()
         loop, thread = self._loop, self._thread
         if loop is not None and thread is not None and thread.is_alive():
@@ -1239,6 +1147,43 @@ class JournalServer(_JournalServerBase):
     def _request_stop(self) -> None:
         if self._stop_requested is not None:
             self._stop_requested.set()
+
+    # -- checkpoint watchdog ---------------------------------------------
+
+    def _start_checkpoint_thread(self) -> None:
+        if self.journal.durability is None:
+            return
+        self._checkpoint_stop.clear()
+        self._checkpoint_thread = threading.Thread(
+            target=self._checkpoint_loop,
+            name="journal-server-checkpoint",
+            daemon=True,
+        )
+        self._checkpoint_thread.start()
+
+    def _stop_checkpoint_thread(self) -> None:
+        self._checkpoint_stop.set()
+        if self._checkpoint_thread is not None:
+            self._checkpoint_thread.join(timeout=5.0)
+            self._checkpoint_thread = None
+
+    def _checkpoint_loop(self) -> None:
+        """Age-threshold watchdog: a server receiving no writes would
+        otherwise never trip the per-op ops/bytes checks, leaving an
+        unbounded WAL replay window."""
+        while not self._checkpoint_stop.wait(self.checkpoint_poll):
+            if self.journal.durability is None:
+                break
+            self.dispatcher.checkpoint_if_due()
+
+    def _finalize_stop(self) -> None:
+        with self.dispatcher.rwlock.write_locked():
+            if self.journal.durability is not None:
+                # Termination checkpoint: everything the WAL holds is
+                # folded into a snapshot before the process exits.
+                self.journal.durability.checkpoint()
+            if self.persist_path is not None:
+                self.journal.save(self.persist_path)
 
     # -- coalesced feed publish ----------------------------------------
 
@@ -1415,203 +1360,3 @@ class JournalServer(_JournalServerBase):
         except RuntimeError:  # pragma: no cover - shutdown race
             pass
 
-
-class ThreadedJournalServer(_JournalServerBase):
-    """The pre-async transport: one thread per connection, strict
-    request/response (ids are echoed but nothing runs concurrently on a
-    connection).  Kept as the measured baseline for the fan-in
-    benchmark and as a fallback for environments where an extra event
-    loop thread is unwelcome."""
-
-    def __init__(
-        self,
-        journal: Journal,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        lock_mode: str = "rw",
-        checkpoint_poll: float = 1.0,
-    ) -> None:
-        super().__init__(
-            journal,
-            host=host,
-            port=port,
-            lock_mode=lock_mode,
-            checkpoint_poll=checkpoint_poll,
-        )
-        self.dispatcher.on_status = self._reap_connections
-        self._listener.settimeout(0.2)
-        self._threads: List[threading.Thread] = []
-        #: open connection sockets, pruned alongside their threads
-        self._connections: List[socket.socket] = []
-        #: guards the connection/thread bookkeeping lists
-        self._conn_lock = threading.Lock()
-        self._running = False
-        self._accept_thread: Optional[threading.Thread] = None
-
-    @property
-    def live_connections(self) -> int:
-        """Connection-handler threads still running."""
-        with self._conn_lock:
-            return sum(1 for t in self._threads if t.is_alive())
-
-    def _reap_connections(self) -> None:
-        """Drop bookkeeping for finished connection threads.  Runs in
-        the accept loop, on stop(), and before status ops — an idle
-        server must not retain its last batch of dead threads/sockets
-        until the *next* client happens to connect."""
-        with self._conn_lock:
-            live = [
-                (t, c)
-                for t, c in zip(self._threads, self._connections)
-                if t.is_alive()
-            ]
-            self._threads = [t for t, _ in live]
-            self._connections = [c for _, c in live]
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def start(self) -> "ThreadedJournalServer":
-        self._running = True
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="journal-server-accept", daemon=True
-        )
-        self._accept_thread.start()
-        self._start_checkpoint_thread()
-        return self
-
-    def stop(self) -> None:
-        self._running = False
-        self._stop_checkpoint_thread()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
-        self._listener.close()
-        # Sever live connections, or their handler threads would keep
-        # serving a "stopped" server indefinitely.
-        with self._conn_lock:
-            connections = list(self._connections)
-            threads = list(self._threads)
-        for connection in connections:
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                connection.close()
-            except OSError:
-                pass
-        for thread in threads:
-            thread.join(timeout=2.0)
-        self._reap_connections()
-        self._finalize_stop()
-
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                connection, _peer = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            try:
-                connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            except OSError:
-                pass
-            # Reap finished connection threads; without this a week-long
-            # server leaks one Thread object (and socket) per connection
-            # ever made.
-            self._reap_connections()
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(connection,),
-                name="journal-server-conn",
-                daemon=True,
-            )
-            with self._conn_lock:
-                self._threads.append(thread)
-                self._connections.append(connection)
-            thread.start()
-
-    def _serve_connection(self, connection: socket.socket) -> None:
-        # Feed pushes arrive from *other* connections' writer threads,
-        # so every send on this socket shares one lock with them.
-        send_lock = threading.Lock()
-        subscription = None
-        try:
-            with connection:
-                reader = connection.makefile("rb")
-                for line in reader:
-                    if not line.strip():
-                        continue
-                    rid = None
-                    try:
-                        request = wire.decode_message(line)
-                        rid = request.get("id")
-                        if request.get("op") == "subscribe":
-                            response, subscription = self._handle_subscribe(
-                                request, connection, send_lock, subscription
-                            )
-                        else:
-                            response = self.dispatcher.dispatch(request)
-                    except wire.WireError as error:
-                        response = {"ok": False, "error": str(error)}
-                    except Exception as error:  # defensive: keep serving
-                        response = {
-                            "ok": False,
-                            "error": f"{type(error).__name__}: {error}",
-                        }
-                    if rid is not None:
-                        response["id"] = rid
-                    try:
-                        with send_lock:
-                            connection.sendall(wire.encode_message(response))
-                    except OSError:
-                        break
-                    if subscription is not None:
-                        # Ack sent; deliver the backlog before any new
-                        # write publishes, so the subscriber starts from
-                        # a delta it can actually apply.
-                        with self.dispatcher.rwlock.write_locked():
-                            subscription.deliver()
-        except (ConnectionError, OSError):
-            pass  # client hung up mid-request; nothing left to answer
-        finally:
-            if subscription is not None:
-                self.dispatcher.unsubscribe(subscription)
-
-    def _handle_subscribe(
-        self,
-        request: Dict[str, Any],
-        connection: socket.socket,
-        send_lock: threading.Lock,
-        existing,
-    ) -> Tuple[Dict[str, Any], Any]:
-        """Turn this connection into a change-feed stream.  The reply
-        acknowledges with the current revision; every subsequent write
-        op pushes a ``{"event": "changes", ...}`` frame."""
-        if existing is not None:
-            return {"ok": False, "error": "already subscribed"}, existing
-
-        def push(changes) -> None:
-            frame = self.dispatcher.encoded_changes_frame(changes)
-            try:
-                with send_lock:
-                    connection.sendall(frame)
-            except OSError:
-                # Dead subscriber: unhook so one lost connection cannot
-                # wedge every future publish.
-                subscription.close()
-
-        with self.dispatcher.rwlock.write_locked():
-            self.dispatcher._c_requests.inc()
-            subscription = self.journal.subscribe(
-                push, since=int(request.get("since", 0))
-            )
-            revision = self.journal.revision
-        return {"ok": True, "revision": revision}, subscription

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..netsim.addresses import Ipv4Address, Netmask, Subnet
-from .correlate import TopologyGraph
+from .correlate import TopologyGraph, record_subnet
 from .journal import Journal, JournalChanges
 
 __all__ = [
@@ -449,29 +449,13 @@ class TopologyStore:
         if node is not None and not node.live:
             del self._subnet_nodes[key]
 
-    def _compute_subnet(self, record) -> Optional[str]:
-        if record.ip is None:
-            return None
-        try:
-            ip = Ipv4Address.parse(record.ip)
-        except ValueError:
-            return None
-        mask_text = record.subnet_mask
-        if mask_text:
-            try:
-                return str(Subnet.containing(ip, Netmask.parse(mask_text)))
-            except ValueError:
-                pass
-        return str(
-            Subnet.containing(ip, Netmask.from_prefix(self.default_prefix))
-        )
-
     def _sync_interface(self, rid: int) -> None:
         record = self.journal.interfaces.get(rid)
         if record is None:
             self._drop_interface(rid)
             return
-        key = self._compute_subnet(record)
+        subnet = record_subnet(record, self.default_prefix)
+        key = None if subnet is None else str(subnet)
         old = self._iface_subnet.get(rid)
         if old == key:
             return

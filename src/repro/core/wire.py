@@ -116,9 +116,8 @@ class Op(NamedTuple):
     *kind* is the op class:
 
     * ``read`` — never mutates the Journal: runs under the shared read
-      lock, is exempt from epoch fencing (a standby and a fenced
-      ex-primary keep serving it), and a failover client may hedge it
-      to a follower;
+      lock and is exempt from epoch fencing (a standby and a fenced
+      ex-primary keep serving it);
     * ``write`` — mutates: takes the write lock, is fenced, carries the
       client's epoch stamp, and a failover client hands it over to the
       next primary and retries it there;
@@ -181,9 +180,9 @@ OPS: Dict[str, Op] = {
 #: One row per public journal-client method — the surface every
 #: :func:`~repro.core.client.connect` shape implements — naming the op
 #: it issues.  :class:`~repro.core.failover.FailoverClient` installs
-#: its proxies from these rows (read ops hedge to a follower, writes
-#: fail over and retry), and ``tests/integration/test_conformance.py``
-#: runs every row against every shape.
+#: its failover-and-retry proxies from these rows, and
+#: ``tests/integration/test_conformance.py`` runs every row against
+#: every shape.
 METHODS: Dict[str, str] = {
     "observe_interface": "observe",
     "submit": "observe",
@@ -231,7 +230,7 @@ def _ops_of(*kinds: str) -> frozenset:
 
 #: every op the server understands
 WIRE_OPS = frozenset(OPS)
-#: shared read lock, unfenced, hedged by failover clients
+#: shared read lock, unfenced
 READ_OPS = _ops_of("read")
 #: fenced, epoch-stamped, handed over to the next primary on failover
 WRITE_OPS = _ops_of("write")

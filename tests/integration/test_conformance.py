@@ -6,10 +6,14 @@ write script and then every row against each shape ``connect()`` can
 return — in-process, one remote server, a two-shard ``shard://`` fleet,
 a replica group (``h:p|h2:q``, primary plus :class:`StandbyReplica`),
 and a fleet of replica groups — and compares each answer with a
-single-journal :class:`LocalClient` oracle.  A last run puts the
-replica group's primary behind the chaos proxy and drops every proxied
-connection between calls, so each call reconnects and replays through
-the :class:`FailoverClient` proxies the table installs.
+single-journal :class:`LocalClient` oracle.  Two last runs put the
+replica group's primary behind the chaos proxy and drop every proxied
+connection between calls.  In the first, each call reconnects and
+replays inside the :class:`RemoteClient` under the
+:class:`FailoverClient` proxies the table installs; in the second
+(``reconnect_attempts`` 0) every kill reaches the
+:class:`FailoverClient` itself, so every row, read or write, runs
+through its failover-and-retry path.
 
 Answers are compared on record *identities* — an interface's ``(ip,
 mac, dns_name)``, a gateway's name with its members and links, a
@@ -316,11 +320,12 @@ def build_shape(shape, stack):
         spec = _replica_group(stack)
     elif shape == "shard-of-replicas":
         spec = "shard://" + ",".join(_replica_group(stack, index) for index in range(2))
-    elif shape == "replica-chaos":
+    elif shape in ("replica-chaos", "replica-chaos-noretry"):
         spec = _replica_group(stack, chaos=chaos)
     else:
         raise ValueError(shape)
-    client = connect(spec)
+    noretry = shape == "replica-chaos-noretry"
+    client = connect(spec, retry={"reconnect_attempts": 0} if noretry else None)
     stack.callback(client.close)
 
     def between_calls():
@@ -330,7 +335,15 @@ def build_shape(shape, stack):
     return client, between_calls
 
 
-SHAPES = ("local", "remote", "shard", "replica", "shard-of-replicas", "replica-chaos")
+SHAPES = (
+    "local",
+    "remote",
+    "shard",
+    "replica",
+    "shard-of-replicas",
+    "replica-chaos",
+    "replica-chaos-noretry",
+)
 
 
 class TestOpTable:
